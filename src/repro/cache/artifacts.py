@@ -76,11 +76,15 @@ def profile_digest(profile: ProgramProfile) -> str:
     file a user edited); hashing its canonical serialization keys model
     artifacts on what the model actually consumed.  ProgramProfile is a
     mutable (unhashable) dataclass, so the memo rides on the instance
-    itself rather than in a WeakKeyDictionary.
+    itself rather than in a WeakKeyDictionary.  The wall-clock
+    ``profiling_seconds`` is not content and stays out of the digest, so
+    two fresh profiles of one module key the same model results.
     """
     digest = getattr(profile, "_cache_digest", None)
     if digest is None:
-        canonical = json.dumps(profile_to_dict(profile), sort_keys=True)
+        payload = profile_to_dict(profile)
+        del payload["profiling_seconds"]
+        canonical = json.dumps(payload, sort_keys=True)
         digest = hashlib.sha256(canonical.encode()).hexdigest()
         try:
             profile._cache_digest = digest

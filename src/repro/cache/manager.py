@@ -25,8 +25,6 @@ re-finalize.  Undeclared changes always invalidate.
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
 from ..analysis.cfg import predecessor_map, reverse_postorder
 from ..analysis.controldep import ControlDependence
 from ..analysis.dominators import (
@@ -221,16 +219,15 @@ class AnalysisManager:
         self._notes.clear()
 
 
-#: module -> its AnalysisManager (dies with the module).
-_MANAGERS: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def analysis_manager_for(module: Module) -> AnalysisManager:
-    """The shared per-module manager (one per live Module object)."""
-    manager = _MANAGERS.get(module)
+    """The shared per-module manager (one per live Module object).
+
+    The manager rides on the module (see ``Module._analysis_manager``),
+    so the two die together.
+    """
+    manager = module._analysis_manager
     if manager is None:
-        manager = AnalysisManager(module)
-        _MANAGERS[module] = manager
+        manager = module._analysis_manager = AnalysisManager(module)
     return manager
 
 
@@ -241,6 +238,6 @@ def notify_transform(module: Module, touched, preserved=()) -> None:
     declaration is moot (a fresh manager fingerprints the post-transform
     module), so nothing is recorded.
     """
-    manager = _MANAGERS.get(module)
+    manager = module._analysis_manager
     if manager is not None:
         manager.note_transform(touched, preserved)

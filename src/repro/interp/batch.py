@@ -456,8 +456,8 @@ class _GroupState:
         self.activated = [False] * lanes
         self.injections: list = [None] * lanes
         #: Shadow stack of [compiled, frame, cblock, previous, step_index]
-        #: records (same shape as the capture pass), so any lane can be
-        #: materialized as a checkpoint Snapshot at a block boundary.
+        #: records (the fields of a checkpoint FrameSnap), so any lane can
+        #: be materialized as a checkpoint Snapshot at a block boundary.
         self.records: list = []
         self.call_depth = 0
         self.results: list = [None] * lanes
@@ -823,7 +823,7 @@ class BatchRunner:
         return value
 
     # ------------------------------------------------------------------
-    # Lockstep interpretation loop (mirrors engine._capture_loop)
+    # Lockstep interpretation loop (engine._loop plus a shadow stack)
     # ------------------------------------------------------------------
 
     def _bcall(self, sim: _GroupState, compiled, args, caller_step: int):

@@ -63,6 +63,9 @@ from .result import CRASH, DETECTED, HANG, OK, RunResult
 
 _MASK64 = mask(64)
 
+#: ``next_capture`` of runs that take no snapshots: beyond any budget.
+_NEVER = 1 << 62
+
 #: Engines compiled in this process.  Campaign workers must build one
 #: engine per (module revision) and reuse it for every run; the
 #: regression tests in ``tests/fi/test_engine_reuse.py`` watch this.
@@ -118,12 +121,21 @@ def _apply_phi_moves(state, frame, block, previous) -> None:
 class _Frame:
     """One activation record: value slots plus per-frame alloca cache."""
 
-    __slots__ = ("slots", "allocas", "owned")
+    __slots__ = ("slots", "allocas", "owned", "compiled", "caller",
+                 "block", "previous", "step_index")
 
-    def __init__(self, n_slots: int):
+    def __init__(self, n_slots: int, compiled=None, caller=None):
         self.slots = [None] * n_slots
         self.allocas: dict[int, int] = {}
         self.owned: list[int] = []
+        #: Where a snapshot finds this frame: its function, the calling
+        #: frame, the block the closure loop is in (entered from
+        #: ``previous``) and the call step it is suspended at, if any.
+        self.compiled = compiled
+        self.caller = caller
+        self.block = None
+        self.previous = None
+        self.step_index = -1
 
 
 class _State:
@@ -132,7 +144,8 @@ class _State:
     __slots__ = (
         "memory", "outputs", "dynamic_count", "budget", "block_counts",
         "inject_iid", "inject_occurrence", "inject_bit", "occurrence",
-        "activated", "call_depth", "call", "ret_value",
+        "activated", "call_depth", "call", "ret_value", "codegen", "frame",
+        "next_capture",
     )
 
     def __init__(self, memory: MemoryState, budget: int, n_blocks: int = 0):
@@ -150,26 +163,28 @@ class _State:
         self.occurrence = 0
         self.activated = False
         self.call_depth = 0
-        #: Call dispatch: the engine's ``_call`` for plain runs, or
-        #: ``_capture_call`` during an instrumented golden pass.
+        #: The engine's ``_call``, reached by call steps of both tiers.
         self.call = None
         #: Return-value mailbox of the codegen tier's block functions.
         self.ret_value = None
+        #: Whether calls run generated block functions where they exist
+        #: (never during a capture pass: only the closure loop snapshots).
+        self.codegen = False
+        #: Innermost frame entered by ``_call``; a snapshot walks its
+        #: ``caller`` chain (resumed runs take no snapshots).
+        self.frame = None
+        #: Dynamic index of the next snapshot; plain runs never reach it.
+        self.next_capture = _NEVER
 
 
 class _CaptureState(_State):
     """Extra bookkeeping for the snapshot-capturing golden pass."""
 
-    __slots__ = ("records", "next_capture", "stride", "snapshots",
-                 "max_snapshots")
+    __slots__ = ("stride", "snapshots", "max_snapshots")
 
     def __init__(self, memory: MemoryState, budget: int, stride: int,
                  max_snapshots: int, n_blocks: int = 0):
         super().__init__(memory, budget, n_blocks)
-        #: Shadow stack of [compiled, frame, cblock, previous, step_index]
-        #: records, innermost last; step_index is the position of the
-        #: call step a frame is currently suspended at.
-        self.records: list = []
         self.stride = stride
         self.next_capture = stride
         self.snapshots: list[Snapshot] = []
@@ -351,6 +366,7 @@ class ExecutionEngine:
         memory = MemoryState(self.layout)
         state = _State(memory, budget or self.max_dynamic, self._n_blocks)
         state.call = self._call
+        state.codegen = self._codegen_on
         if injection is not None:
             target = self.module.instruction(injection.iid)
             if not target.has_result:
@@ -404,15 +420,20 @@ class ExecutionEngine:
         if state.call_depth >= self.stack_limit:
             raise StackOverflow(f"call depth exceeded {self.stack_limit}")
         state.call_depth += 1
-        frame = _Frame(compiled.n_slots)
+        caller = state.frame
+        if caller is not None:
+            caller.step_index = caller_step  # suspended at this call step
+        frame = _Frame(compiled.n_slots, compiled, caller)
         frame.slots[: compiled.n_args] = args
+        state.frame = frame
         try:
-            if self._codegen_on and compiled.cg_fast is not None:
+            if state.codegen and compiled.cg_fast is not None:
                 return self._cg_run(
                     compiled, frame, compiled.entry.local_index, state
                 )
             return self._loop(compiled, frame, compiled.entry, None, state)
         finally:
+            state.frame = caller
             state.call_depth -= 1
             state.memory.free(frame.owned)
 
@@ -428,7 +449,7 @@ class ExecutionEngine:
     def _enter_block(self, compiled, frame, block, previous, state: _State):
         """Resume execution at the top of ``block`` (entered from
         ``previous``) on whichever tier ``compiled`` runs on."""
-        if self._codegen_on and compiled.cg_fast is not None:
+        if state.codegen and compiled.cg_fast is not None:
             _apply_phi_moves(state, frame, block, previous)
             return self._cg_run(compiled, frame, block.local_index, state)
         return self._loop(compiled, frame, block, previous, state)
@@ -437,11 +458,17 @@ class ExecutionEngine:
         """The closure tier's block dispatch loop, from the top of
         ``block``.
 
-        Keep in lockstep with :meth:`_capture_loop`, which is this loop
-        plus shadow-stack/snapshot bookkeeping for the golden pass.
+        The snapshot check sits at the very top of the loop — before the
+        pending block's phi moves, cost, and count — so a snapshot sees
+        only *completed* block iterations in every frame but the callers
+        suspended mid-block at a call step.
         """
         block_counts = state.block_counts
         while True:
+            frame.block = block
+            frame.previous = previous
+            if state.dynamic_count >= state.next_capture:
+                self._take_snapshot(state)
             _apply_phi_moves(state, frame, block, previous)
             state.dynamic_count += block.cost
             if state.dynamic_count > state.budget:
@@ -478,9 +505,9 @@ class ExecutionEngine:
             raise ValueError(f"capture stride must be >= 1, got {stride}")
         state = _CaptureState(MemoryState(self.layout), self.max_dynamic,
                               stride, max_snapshots, self._n_blocks)
-        state.call = self._capture_call
+        state.call = self._call
         try:
-            self._capture_call(self._compiled["main"], [], state)
+            self._call(self._compiled["main"], [], state)
         except (MemoryFault, ArithmeticTrap, StackOverflow, HangFault,
                 DetectionTrap) as fault:
             raise InterpreterBug(
@@ -495,71 +522,21 @@ class ExecutionEngine:
         )
         return GoldenCapture(self, result, state.snapshots, stride)
 
-    def _capture_call(self, compiled: _CompiledFunction, args: list,
-                      state: _CaptureState, caller_step: int = -1):
-        if state.call_depth >= self.stack_limit:
-            raise StackOverflow(f"call depth exceeded {self.stack_limit}")
-        state.call_depth += 1
-        frame = _Frame(compiled.n_slots)
-        frame.slots[: compiled.n_args] = args
-        records = state.records
-        if records:
-            records[-1][4] = caller_step  # caller now suspended at this step
-        record = [compiled, frame, compiled.entry, None, -1]
-        records.append(record)
-        try:
-            return self._capture_loop(compiled, frame, state, record)
-        finally:
-            records.pop()
-            state.call_depth -= 1
-            state.memory.free(frame.owned)
-
-    def _capture_loop(self, compiled, frame, state: _CaptureState, record):
-        """:meth:`_loop` plus shadow-stack updates and snapshot capture.
-
-        The capture check sits at the very top of the loop — before the
-        pending block's phi moves, cost, and count — so a snapshot sees
-        only *completed* block iterations in every frame but the
-        suspended mid-block ones recorded on the shadow stack.
-        """
-        block = record[2]
-        previous = record[3]
-        block_counts = state.block_counts
-        while True:
-            record[2] = block
-            record[3] = previous
-            if state.dynamic_count >= state.next_capture:
-                self._take_snapshot(state)
-            _apply_phi_moves(state, frame, block, previous)
-            state.dynamic_count += block.cost
-            if state.dynamic_count > state.budget:
-                raise HangFault(state.dynamic_count)
-            block_counts[block.ordinal] += 1
-            for step in block.steps:
-                step(state, frame)
-            kind = block.term_kind
-            if kind == _T_JUMP:
-                previous = block
-                block = block.term_payload
-            elif kind == _T_CBR:
-                fetch, true_block, false_block = block.term_payload
-                previous = block
-                block = true_block if fetch(frame) else false_block
-            else:  # _T_RET
-                fetch = block.term_payload
-                return fetch(frame) if fetch is not None else None
-
     def _take_snapshot(self, state: _CaptureState) -> None:
-        records = state.records
-        last = len(records) - 1
+        chain = []
+        frame = state.frame
+        while frame is not None:
+            chain.append(frame)
+            frame = frame.caller
+        chain.reverse()
+        last = len(chain) - 1
         frames = tuple(
             FrameSnap(
-                compiled, tuple(frame.slots), dict(frame.allocas),
-                tuple(frame.owned), cblock, previous,
-                step_index if index < last else -1,
+                frame.compiled, tuple(frame.slots), dict(frame.allocas),
+                tuple(frame.owned), frame.block, frame.previous,
+                frame.step_index if index < last else -1,
             )
-            for index, (compiled, frame, cblock, previous, step_index)
-            in enumerate(records)
+            for index, frame in enumerate(chain)
         )
         memory = state.memory
         state.snapshots.append(Snapshot(
@@ -573,7 +550,7 @@ class ExecutionEngine:
             block_counts=list(state.block_counts),
         ))
         if len(state.snapshots) >= state.max_snapshots:
-            state.next_capture = state.budget + 1  # schedule exhausted
+            state.next_capture = _NEVER  # schedule exhausted
         else:
             state.next_capture = state.dynamic_count + state.stride
 
@@ -642,6 +619,7 @@ class ExecutionEngine:
             budget or self.max_dynamic,
         )
         state.call = self._call
+        state.codegen = self._codegen_on
         state.outputs = list(outputs) if outputs is not None else []
         state.dynamic_count = snapshot.dynamic_count
         state.block_counts = list(snapshot.block_counts)
@@ -1053,9 +1031,7 @@ class ExecutionEngine:
 
         compiled_map = self._compiled
 
-        # ``state.call`` dispatches to _call (plain runs) or
-        # _capture_call (golden snapshot pass); the step index lets the
-        # capture pass record where this frame is suspended.
+        # The step index tells a snapshot where this frame is suspended.
         def step(state, frame):
             args = [fetch(frame) for fetch in fetches]
             value = state.call(compiled_map[callee], args, state, step_index)

@@ -25,6 +25,13 @@ class Module:
         #: Bumped by every finalize(); caches keyed on module content use
         #: it to notice mutation-then-refinalize cheaply.
         self.revision = 0
+        #: Derived caches attached on first use: the shared
+        #: :class:`repro.cache.manager.AnalysisManager` and the
+        #: (revision, :class:`repro.query.keys.LocalIndex`) pair.  They
+        #: ride on the module because their values reference it: in a
+        #: module-keyed side table they would keep every module alive.
+        self._analysis_manager = None
+        self._local_index = None
 
     # -- construction --------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Profiling interpreter: one instrumented fault-free execution.
 
-A deliberately simple tree-walking interpreter (the fast closure engine
-in :mod:`repro.interp.engine` stays lean for injection campaigns; this
-one pays for hooks).  Both share the value semantics in
-:mod:`repro.interp.ops`, so a program behaves identically under either.
+Profiling runs on the closure tier of :class:`ExecutionEngine`: a
+private subclass wraps the step closures of the sampled instruction
+kinds and the conditional-branch fetches with observer hooks, so the
+profile comes from the very semantics that fault injection executes.
 
 Collected facts (Sec. IV-A "profiling phase"):
 
@@ -23,40 +23,14 @@ import random
 import time
 from hashlib import blake2b
 
-from ..interp.errors import InterpreterBug, RuntimeFault
-from ..interp.intrinsics import call_intrinsic, is_intrinsic
-from ..interp.memory import GlobalLayout, MemoryState
-from ..interp.ops import (
-    default_value,
-    eval_cast,
-    eval_fcmp,
-    eval_float_binop,
-    eval_icmp,
-    eval_int_binop,
-    format_output,
-)
-from ..ir.bitutils import mask, to_signed
-from ..ir.instructions import (
-    Alloca,
-    BinOp,
-    Branch,
-    Call,
-    Cast,
-    Detect,
-    FCmp,
-    GetElementPtr,
-    ICmp,
-    Load,
-    Output,
-    Ret,
-    Select,
-    Store,
-)
+from ..interp.codegen import TIER_CLOSURE
+from ..interp.engine import _T_CBR, ExecutionEngine
+from ..interp.errors import InterpreterBug
+from ..interp.result import OK
+from ..ir.instructions import BinOp, Cast, FCmp, ICmp, Load, Select, Store
 from ..ir.module import Module
-from ..ir.values import Argument, Constant, GlobalVariable, Value
 from .profile import ProgramProfile
 
-_MASK64 = mask(64)
 _ADDRESS_BITS = 64
 
 #: Domain separation for per-site sampling substreams (<=16 bytes).
@@ -92,7 +66,6 @@ class ProfilingInterpreter:
         self.sample_cap = sample_cap
         self.max_dynamic = max_dynamic
         self.seed = seed
-        self.layout = GlobalLayout(module)
         #: iid -> (function name, function-local index): the stable site
         #: identity each sampling substream is keyed on.
         self.sites: dict[int, tuple[str, int]] = {}
@@ -100,207 +73,144 @@ class ProfilingInterpreter:
             for local, inst in enumerate(function.instructions()):
                 self.sites[inst.iid] = (function.name, local)
 
-    # ------------------------------------------------------------------
-
     def run(self) -> tuple[ProgramProfile, list[str]]:
         """Profile one fault-free execution; returns (profile, outputs)."""
         started = time.perf_counter()
         profile = ProgramProfile()
-        memory = MemoryState(self.layout)
-        outputs: list[str] = []
-        # addr -> [store_iid, set-of-reader-load-iids]
-        last_writer: dict[int, list] = {}
-        state = _ProfState(profile, memory, outputs, last_writer,
-                           self.seed, self.sites, self.sample_cap,
-                           self.max_dynamic)
-        try:
-            self._call(self.module.main, [], state)
-        except RuntimeFault as fault:
+        state = _ProfState(profile, self.seed, self.sites, self.sample_cap)
+        result = _ProfilingEngine(self.module, state, self.max_dynamic).run()
+        if result.outcome != OK:
             raise InterpreterBug(
-                f"profiling run of {self.module.name} faulted: {fault}"
-            ) from fault
+                f"profiling run of {self.module.name} failed: "
+                f"{result.outcome} ({result.crash_reason})"
+            )
 
         # Flush pending store instances for read-fraction accounting.
-        for store_iid, readers in last_writer.values():
+        for store_iid, readers in state.last_writer.values():
             state.finish_instance(store_iid, readers)
-        profile.dynamic_count = state.dynamic_count
-        profile.footprint_bytes = memory.footprint_bytes
+        profile.inst_counts = result.instruction_counts()
+        profile.dynamic_count = result.dynamic_count
+        profile.footprint_bytes = result.footprint_bytes
         profile.memdep_stats.dynamic_dependencies = state.dynamic_deps
         profile.memdep_stats.static_edges = len(profile.mem_edges)
         profile.profiling_seconds = time.perf_counter() - started
-        return profile, outputs
+        return profile, result.outputs
 
-    # ------------------------------------------------------------------
 
-    def _call(self, function, args: list, state: "_ProfState"):
-        env: dict[int, object] = {}
-        for formal, actual in zip(function.args, args):
-            env[id(formal)] = actual
-        allocas: dict[int, int] = {}
-        owned: list[int] = []
-        block = function.entry
-        previous = None
-        try:
-            while True:
-                phis = block.phis()
-                if phis:
-                    # Parallel copy semantics: read all, then bind.
-                    values = [
-                        self._value(phi.value_for(previous), env, state)
-                        for phi in phis
-                    ]
-                    for phi, value in zip(phis, values):
-                        state.tick(phi.iid)
-                        env[id(phi)] = value
-                next_block = None
-                for inst in block.instructions[len(phis):]:
-                    state.tick(inst.iid)
-                    if isinstance(inst, Branch):
-                        next_block = self._exec_branch(inst, env, state)
-                        break
-                    if isinstance(inst, Ret):
-                        if inst.value is None:
-                            return None
-                        return self._value(inst.value, env, state)
-                    self._exec(inst, env, state, allocas, owned)
-                if next_block is None:
-                    raise InterpreterBug(
-                        f"block {block.name} fell through without terminator"
-                    )
-                previous = block
-                block = next_block
-        finally:
-            state.memory.free(owned)
+class _ProfilingEngine(ExecutionEngine):
+    """The closure tier with observer hooks around the sampled steps.
 
-    def _value(self, value: Value, env: dict, state: "_ProfState"):
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, GlobalVariable):
-            return self.layout.addresses[value.name]
-        if isinstance(value, (Argument,)) or True:
-            try:
-                return env[id(value)]
-            except KeyError:
-                raise InterpreterBug(f"unbound value {value!r}") from None
+    Each wrapper counts its site's dynamic instances (the reservoirs'
+    ``seen``), calls the :class:`_ProfState` hooks that precede the
+    instruction, runs the engine's own step, then the hooks that follow.
+    """
 
-    def _exec_branch(self, inst: Branch, env, state):
-        if not inst.is_conditional:
-            return inst.true_block
-        taken = bool(self._value(inst.cond, env, state))
-        counts = state.profile.branch_counts.setdefault(inst.iid, [0, 0])
-        counts[1 if taken else 0] += 1
-        return inst.true_block if taken else inst.false_block
+    def __init__(self, module: Module, prof: "_ProfState",
+                 max_dynamic: int):
+        self.prof = prof
+        super().__init__(module, max_dynamic=max_dynamic, tier=TIER_CLOSURE)
 
-    # ------------------------------------------------------------------
+    def _compile_step(self, compiled, inst, step_index: int):
+        step = super()._compile_step(compiled, inst, step_index)
+        prof = self.prof
+        iid = inst.iid
+        seen = 0
 
-    def _exec(self, inst, env, state: "_ProfState", allocas, owned) -> None:
-        value_of = self._value
-        if isinstance(inst, BinOp):
-            a = value_of(inst.lhs, env, state)
-            b = value_of(inst.rhs, env, state)
-            state.sample_operands(inst.iid, (a, b))
-            if inst.type.is_float:
-                env[id(inst)] = eval_float_binop(inst.op, a, b, inst.type.bits)
-            else:
-                env[id(inst)] = eval_int_binop(inst.op, a, b, inst.type.bits)
-        elif isinstance(inst, ICmp):
-            a = value_of(inst.lhs, env, state)
-            b = value_of(inst.rhs, env, state)
-            state.sample_operands(inst.iid, (a, b))
-            env[id(inst)] = eval_icmp(inst.predicate, a, b, inst.lhs.type.bits)
-        elif isinstance(inst, FCmp):
-            a = value_of(inst.lhs, env, state)
-            b = value_of(inst.rhs, env, state)
-            state.sample_operands(inst.iid, (a, b))
-            env[id(inst)] = eval_fcmp(inst.predicate, a, b)
+        if isinstance(inst, (BinOp, ICmp, FCmp)):
+            fetch_lhs = self._fetch(compiled, inst.lhs)
+            fetch_rhs = self._fetch(compiled, inst.rhs)
+
+            def profiled(state, frame):
+                nonlocal seen
+                seen += 1
+                prof.sample_operands(
+                    iid, (fetch_lhs(frame), fetch_rhs(frame)), seen
+                )
+                step(state, frame)
         elif isinstance(inst, Cast):
-            value = value_of(inst.value, env, state)
-            state.sample_operands(inst.iid, (value,))
-            env[id(inst)] = eval_cast(
-                inst.op, value, inst.value.type, inst.type
-            )
-        elif isinstance(inst, Alloca):
-            address = allocas.get(inst.iid)
-            if address is None:
-                address, elements = state.memory.allocate_stack(
-                    inst.count, inst.elem_type.size_bytes
-                )
-                allocas[inst.iid] = address
-                owned.extend(elements)
-            env[id(inst)] = address
-        elif isinstance(inst, Load):
-            address = value_of(inst.pointer, env, state)
-            state.sample_memory_access(inst.iid, address)
-            env[id(inst)] = state.memory.load(
-                address, default_value(inst.type)
-            )
-            state.record_load(inst.iid, address)
-        elif isinstance(inst, Store):
-            address = value_of(inst.pointer, env, state)
-            state.sample_memory_access(inst.iid, address)
-            value = value_of(inst.value, env, state)
-            previous = state.memory.cells.get(address)
-            state.memory.store(address, value)
-            state.record_store(inst.iid, address, value == previous)
-        elif isinstance(inst, GetElementPtr):
-            base = value_of(inst.base, env, state)
-            index = to_signed(
-                value_of(inst.index, env, state), inst.index.type.bits
-            )
-            env[id(inst)] = (base + index * inst.elem_size) & _MASK64
-        elif isinstance(inst, Call):
-            args = [value_of(arg, env, state) for arg in inst.args]
-            if inst.callee in self.module.functions:
-                result = self._call(
-                    self.module.functions[inst.callee], args, state
-                )
-            elif is_intrinsic(inst.callee):
-                result = call_intrinsic(inst.callee, args, inst.type)
-            else:
-                raise InterpreterBug(f"unknown callee {inst.callee}")
-            if inst.has_result:
-                env[id(inst)] = result
-        elif isinstance(inst, Output):
-            value = value_of(inst.value, env, state)
-            state.outputs.append(
-                format_output(value, inst.value.type, inst.precision)
-            )
+            fetch = self._fetch(compiled, inst.value)
+
+            def profiled(state, frame):
+                nonlocal seen
+                seen += 1
+                prof.sample_operands(iid, (fetch(frame),), seen)
+                step(state, frame)
         elif isinstance(inst, Select):
-            cond = bool(value_of(inst.cond, env, state))
-            counts = state.profile.select_counts.setdefault(inst.iid, [0, 0])
-            counts[1 if cond else 0] += 1
-            true_value = value_of(inst.true_value, env, state)
-            false_value = value_of(inst.false_value, env, state)
-            state.sample_operands(
-                inst.iid, (int(cond), true_value, false_value)
-            )
-            env[id(inst)] = true_value if cond else false_value
-        elif isinstance(inst, Detect):
-            pass  # never fires on a fault-free run
+            fetch_cond = self._fetch(compiled, inst.cond)
+            fetch_true = self._fetch(compiled, inst.true_value)
+            fetch_false = self._fetch(compiled, inst.false_value)
+            select_counts = prof.profile.select_counts
+
+            def profiled(state, frame):
+                nonlocal seen
+                seen += 1
+                cond = 1 if fetch_cond(frame) else 0
+                select_counts.setdefault(iid, [0, 0])[cond] += 1
+                prof.sample_operands(
+                    iid, (cond, fetch_true(frame), fetch_false(frame)), seen
+                )
+                step(state, frame)
+        elif isinstance(inst, Load):
+            fetch_pointer = self._fetch(compiled, inst.pointer)
+
+            def profiled(state, frame):
+                nonlocal seen
+                seen += 1
+                address = fetch_pointer(frame)
+                prof.sample_memory_access(
+                    iid, address, seen, state.memory.valid
+                )
+                step(state, frame)
+                prof.record_load(iid, address)
+        elif isinstance(inst, Store):
+            fetch_pointer = self._fetch(compiled, inst.pointer)
+            fetch_value = self._fetch(compiled, inst.value)
+
+            def profiled(state, frame):
+                nonlocal seen
+                seen += 1
+                address = fetch_pointer(frame)
+                prof.sample_memory_access(
+                    iid, address, seen, state.memory.valid
+                )
+                silent = fetch_value(frame) == state.memory.cells.get(address)
+                step(state, frame)
+                prof.record_store(iid, address, silent)
         else:
-            raise InterpreterBug(f"cannot profile {inst!r}")
+            return step
+        return profiled
+
+    def _compile_terminator(self, compiled, cblock, inst, block_map) -> None:
+        super()._compile_terminator(compiled, cblock, inst, block_map)
+        if cblock.term_kind != _T_CBR:
+            return
+        fetch, true_block, false_block = cblock.term_payload
+        branch_counts = self.prof.profile.branch_counts
+        iid = inst.iid
+
+        def taken(frame):
+            direction = 1 if fetch(frame) else 0
+            branch_counts.setdefault(iid, [0, 0])[direction] += 1
+            return direction
+
+        cblock.term_payload = (taken, true_block, false_block)
 
 
 class _ProfState:
-    """Mutable state threaded through the profiling walk."""
+    """Profile-building hooks and the state they share across the run."""
 
     __slots__ = (
-        "profile", "memory", "outputs", "last_writer", "seed", "sites",
-        "sample_cap", "max_dynamic", "dynamic_count", "dynamic_deps",
-        "_rngs",
+        "profile", "last_writer", "seed", "sites", "sample_cap",
+        "dynamic_deps", "_rngs",
     )
 
-    def __init__(self, profile, memory, outputs, last_writer, seed,
-                 sites, sample_cap, max_dynamic):
+    def __init__(self, profile, seed, sites, sample_cap):
         self.profile = profile
-        self.memory = memory
-        self.outputs = outputs
-        self.last_writer = last_writer
+        #: addr -> [store_iid, set-of-reader-load-iids]
+        self.last_writer: dict[int, list] = {}
         self.seed = seed
         self.sites = sites
         self.sample_cap = sample_cap
-        self.max_dynamic = max_dynamic
-        self.dynamic_count = 0
         self.dynamic_deps = 0
         self._rngs: dict[int, random.Random] = {}
 
@@ -313,17 +223,12 @@ class _ProfState:
             self._rngs[iid] = rng
         return rng
 
-    def tick(self, iid: int) -> None:
-        self.dynamic_count += 1
-        if self.dynamic_count > self.max_dynamic:
-            raise InterpreterBug("profiling run exceeded dynamic budget")
-        counts = self.profile.inst_counts
-        counts[iid] = counts.get(iid, 0) + 1
+    def sample_operands(self, iid: int, operands: tuple, seen: int) -> None:
+        """Reservoir-sample the operand tuple of one dynamic instance.
 
-    def sample_operands(self, iid: int, operands: tuple) -> None:
-        """Reservoir-sample the operand tuple of one dynamic instance."""
+        ``seen`` counts this site's dynamic instances, this one included.
+        """
         reservoir = self.profile.operand_samples.setdefault(iid, [])
-        seen = self.profile.inst_counts[iid]  # includes this instance
         if len(reservoir) < self.sample_cap:
             reservoir.append(operands)
             return
@@ -331,10 +236,11 @@ class _ProfState:
         if slot < self.sample_cap:
             reservoir[slot] = operands
 
-    def sample_memory_access(self, iid: int, address: int) -> None:
-        """Sample P(crash) over single-bit flips of this access address."""
+    def sample_memory_access(self, iid: int, address: int, seen: int,
+                             valid) -> None:
+        """Sample P(crash) over single-bit flips of this access address,
+        against the live memory validity set ``valid``."""
         reservoir = self.profile.crash_prob_samples.setdefault(iid, [])
-        seen = self.profile.inst_counts[iid]
         if len(reservoir) >= self.sample_cap:
             slot = self.rng_for(iid).randrange(seen)
             if slot >= self.sample_cap:
@@ -342,7 +248,6 @@ class _ProfState:
         else:
             slot = len(reservoir)
         invalid = 0
-        valid = self.memory.valid
         for bit in range(_ADDRESS_BITS):
             if (address ^ (1 << bit)) not in valid:
                 invalid += 1

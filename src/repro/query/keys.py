@@ -31,9 +31,6 @@ from ..cache.fingerprint import (
 from ..ir.instructions import Call
 from ..ir.module import Module
 
-#: module -> (revision, LocalIndex)
-_INDEXES: WeakKeyDictionary = WeakKeyDictionary()
-
 #: module -> (revision, callgraph digest)
 _CALLGRAPHS: WeakKeyDictionary = WeakKeyDictionary()
 
@@ -56,11 +53,11 @@ class LocalIndex:
 
     @classmethod
     def of(cls, module: Module) -> "LocalIndex":
-        cached = _INDEXES.get(module)
+        cached = module._local_index
         if cached is not None and cached[0] == module.revision:
             return cached[1]
         index = cls(module)
-        _INDEXES[module] = (module.revision, index)
+        module._local_index = (module.revision, index)
         return index
 
     def local(self, iid: int) -> tuple[str, int]:

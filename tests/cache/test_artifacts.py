@@ -23,6 +23,7 @@ from repro.cache import (
 from repro.core.simple_models import build_model
 from repro.fi.campaign import OUTCOMES, SDC, CampaignResult, FaultInjector
 from repro.interp.engine import ExecutionEngine
+from repro.profiling import ProfilingInterpreter
 from repro.profiling.serialize import profile_to_dict
 from tests.conftest import cached_module, cached_profile
 
@@ -43,6 +44,13 @@ class TestProfileArtifacts:
         assert restored is not None
         assert profile_to_dict(restored) == profile_to_dict(profile)
         assert profile_digest(restored) == profile_digest(profile)
+
+    def test_digest_ignores_wall_clock(self, pathfinder):
+        module, _profile, _outputs = pathfinder
+        first, _ = ProfilingInterpreter(module).run()
+        second, _ = ProfilingInterpreter(module).run()
+        second.profiling_seconds = first.profiling_seconds + 1.0
+        assert profile_digest(first) == profile_digest(second)
 
     def test_key_depends_on_profiler_knobs(self):
         fp = "f" * 64

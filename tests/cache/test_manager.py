@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.controldep import ControlDependence
 from repro.cache import AnalysisManager, analysis_manager_for
 from repro.ir.instructions import BinOp
+from repro.query.keys import LocalIndex
 from tests.conftest import build_accumulator_module
 
 
@@ -44,6 +48,16 @@ class TestCaching:
         assert analysis_manager_for(module) is analysis_manager_for(module)
         other = build_accumulator_module()
         assert analysis_manager_for(other) is not analysis_manager_for(module)
+
+    def test_derived_caches_do_not_keep_their_module_alive(self):
+        module = build_accumulator_module()
+        manager = analysis_manager_for(module)
+        manager.control_dependence(module.functions["main"])
+        index = LocalIndex.of(module)
+        alive = weakref.ref(module)
+        del module, manager, index
+        gc.collect()
+        assert alive() is None
 
 
 class TestInvalidation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.interp import ExecutionEngine
+from repro.interp import ExecutionEngine, InterpreterBug
 from repro.ir import I32, FunctionBuilder, Module
 from repro.ir.instructions import Branch, Store
 from repro.profiling import ProfilingInterpreter
@@ -32,6 +32,54 @@ class TestAgreementWithEngine:
         golden = ExecutionEngine(module).golden()
         assert outputs == golden.outputs
         assert profile.dynamic_count == golden.dynamic_count
+
+
+class TestFailurePath:
+    def test_faulting_program_raises_naming_module(self):
+        module = Module("divzero")
+        f = FunctionBuilder(module, "main")
+        d = f.local("d", I32, init=0)
+        f.out(f.c(100) / d.get())
+        f.done()
+        module.finalize()
+        with pytest.raises(InterpreterBug, match="divzero"):
+            ProfilingInterpreter(module).run()
+
+    def test_unbounded_recursion_raises_naming_module(self):
+        module = Module("recurse")
+        f = FunctionBuilder(module, "rec", [I32], ["n"], I32)
+        f.ret(f.call("rec", [f.arg(0) + 1], I32))
+        f.done()
+        main = FunctionBuilder(module, "main")
+        main.out(main.call("rec", [main.c(0)], I32))
+        main.done()
+        module.finalize()
+        with pytest.raises(InterpreterBug, match="recurse"):
+            ProfilingInterpreter(module).run()
+
+    def test_infinite_loop_exceeds_budget(self):
+        # The budget is checked per block, so even a loop that never
+        # exits stops within one block of max_dynamic.
+        module = Module("spin")
+        f = FunctionBuilder(module, "main")
+        n = f.local("n", I32, init=0)
+        f.while_(lambda: n.get() == n.get(), lambda: n.set(n.get() + 1))
+        f.out(n.get())
+        f.done()
+        module.finalize()
+        with pytest.raises(InterpreterBug, match="spin"):
+            ProfilingInterpreter(module, max_dynamic=10_000).run()
+
+    def test_budget_is_a_limit_not_a_target(self, accumulator_module):
+        dynamic = ExecutionEngine(accumulator_module).golden().dynamic_count
+        profile, _ = ProfilingInterpreter(
+            accumulator_module, max_dynamic=dynamic
+        ).run()
+        assert profile.dynamic_count == dynamic
+        with pytest.raises(InterpreterBug, match="accumulator"):
+            ProfilingInterpreter(
+                accumulator_module, max_dynamic=dynamic - 1
+            ).run()
 
 
 class TestBranchProfile:
