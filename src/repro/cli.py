@@ -24,12 +24,6 @@ from .cache import (
 )
 from .core.simple_models import MODEL_NAMES, create_model
 from .fi.campaign import OUTCOMES, CampaignResult
-from .fi.parallel import (
-    CampaignInterrupted,
-    CampaignSettings,
-    ModuleSpec,
-    run_cached_campaign,
-)
 from .harness.context import ExperimentConfig, Workspace
 from .harness.runner import EXPERIMENTS, run_experiment
 from .interp.codegen import TIER_BATCH, TIER_CLOSURE, TIER_CODEGEN
@@ -40,6 +34,12 @@ from .profiling.profile import ProgramProfile
 from .profiling.profiler import ProfilingInterpreter
 from .protection.evaluate import evaluate_protection
 from .report.resilience import generate_report
+from .sched import (
+    CampaignInterrupted,
+    CampaignSettings,
+    ModuleSpec,
+    run_store_campaign,
+)
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -407,7 +407,7 @@ def _run_campaign(args, runs: int) -> CampaignResult:
     spec = ModuleSpec.from_benchmark(
         args.benchmark, args.scale, args.input_seed
     )
-    return run_cached_campaign(
+    return run_store_campaign(
         runs, seed=args.seed, spec=spec,
         settings=CampaignSettings(
             workers=max(1, args.workers), ci_halfwidth=args.ci_halfwidth,

@@ -13,7 +13,7 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from ..interp.codegen import TIER_BATCH
 from ..interp.engine import ExecutionEngine, Injection
@@ -31,83 +31,104 @@ CAUGHT = "detected"
 OUTCOMES = (SDC, CRASHED, HUNG, BENIGN, CAUGHT)
 
 
+#: Merge rules of the campaign record.  ``SUM`` adds (per outcome for
+#: ``counts``), ``MAX`` keeps the larger per-engine gauge, ``OR`` or-s a
+#: flag or keeps the first non-empty value, and ``DRIVER`` fields are
+#: not merged at all: the campaign driver sets them after merging.
+SUM = "sum"
+MAX = "max"
+OR = "or"
+DRIVER = "driver"
+
+
+def _stat(rule: str, default=0, *, persist: bool = True, factory=None):
+    """A :class:`CampaignResult` field with its merge rule.
+
+    ``persist`` says whether the field is part of the stored campaign
+    and shard envelopes; unpersisted fields describe one execution
+    (wall time, pool state, replay) and reset on every store read.
+    """
+    metadata = {"rule": rule, "persist": persist}
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class CampaignResult:
-    """Aggregated outcome counts of one FI campaign.
+    """Aggregated outcome counts and statistics of one FI campaign.
 
-    ``counts``/``wall_seconds``/``cpu_seconds`` are additive under
-    :meth:`merge`; the remaining fields describe the campaign that
-    produced the result (how many runs were requested, whether the
-    confidence-interval stopping rule fired, how many rounds ran, how
-    many workers executed it) and are set by the campaign driver after
-    merging, not by ``merge`` itself.
+    Every field declares its merge rule and whether it is persisted
+    (see :func:`_stat`); :meth:`absorb`, :meth:`merge`, :meth:`to_dict`
+    and :meth:`from_dict` are generic over those declarations, and so
+    are the shard envelopes and shard merges of :mod:`repro.sched`.
     """
 
-    counts: dict[str, int] = field(default_factory=lambda: {o: 0 for o in OUTCOMES})
+    counts: dict[str, int] = _stat(
+        SUM, factory=lambda: {o: 0 for o in OUTCOMES}
+    )
     #: End-to-end elapsed time observed by the campaign driver.
-    wall_seconds: float = 0.0
+    wall_seconds: float = _stat(SUM, 0.0, persist=False)
     #: Summed per-run execution time across all workers (== wall_seconds
     #: for a serial campaign).
-    cpu_seconds: float = 0.0
-    runs_requested: int = 0
-    stopped_early: bool = False
-    rounds: int = 0
-    workers: int = 1
+    cpu_seconds: float = _stat(SUM, 0.0)
+    runs_requested: int = _stat(DRIVER)
+    stopped_early: bool = _stat(DRIVER, False)
+    rounds: int = _stat(DRIVER)
+    workers: int = _stat(DRIVER, 1, persist=False)
     #: True when a parallel campaign lost its worker pool and fell back
     #: to in-process serial execution (no counts are ever lost).
-    degraded: bool = False
+    degraded: bool = _stat(DRIVER, False, persist=False)
     #: True when the result was served from the artifact cache instead
     #: of being executed (counts are bit-identical either way).
-    from_cache: bool = False
+    from_cache: bool = _stat(DRIVER, False, persist=False)
     #: Interpreter throughput: dynamic instructions actually executed
     #: (suffixes + golden capture passes) and instructions *not*
     #: re-executed because trials forked from golden-prefix snapshots.
-    #: Additive under :meth:`merge`, like the counts.
-    dynamic_instructions: int = 0
-    skipped_instructions: int = 0
+    dynamic_instructions: int = _stat(SUM)
+    skipped_instructions: int = _stat(SUM)
     #: Estimated bytes held by the snapshot sets built for this result
     #: (counted once per capture pass, summed across workers).
-    snapshot_bytes: int = 0
+    snapshot_bytes: int = _stat(SUM)
     #: True when at least part of the campaign ran in checkpoint mode.
-    checkpointed: bool = False
+    checkpointed: bool = _stat(OR, False)
     #: True when a checkpoint path failed and trials fell back to cold
     #: full runs (counts are bit-identical either way).
-    checkpoint_degraded: bool = False
+    checkpoint_degraded: bool = _stat(OR, False)
     #: Interpreter tier that executed the campaign ("codegen",
     #: "closure" or "batch"); empty for results that never ran (e.g.
     #: bare merges).
-    interp_tier: str = ""
+    interp_tier: str = _stat(OR, "")
     #: Codegen tier statistics from the executing engine: functions
     #: successfully compiled to generated source, and functions that
-    #: fell back to the closure tier.  Per-engine gauges, so ``merge``
-    #: takes the max rather than summing across workers.
-    codegen_functions: int = 0
-    codegen_fallbacks: int = 0
-    #: Batch tier statistics: the lane count groups ran with (gauge,
-    #: merged by max), lanes that left lockstep and drained on the
-    #: scalar tier, and whole groups that failed and re-ran their
-    #: trials scalar (counts are bit-identical either way).
-    batch_lanes: int = 0
-    batch_divergences: int = 0
-    batch_fallbacks: int = 0
+    #: fell back to the closure tier (per-engine gauges).
+    codegen_functions: int = _stat(MAX)
+    codegen_fallbacks: int = _stat(MAX)
+    #: Batch tier statistics: the lane count groups ran with (gauge),
+    #: lanes that left lockstep and drained on the scalar tier, and
+    #: whole groups that failed and re-ran their trials scalar (counts
+    #: are bit-identical either way).
+    batch_lanes: int = _stat(MAX)
+    batch_divergences: int = _stat(SUM)
+    batch_fallbacks: int = _stat(SUM)
     #: Reconvergence observability: divergent branches whose sides were
     #: re-merged in lockstep (``batch_reconverged``), lanes that left
     #: lockstep for the scalar drain anyway (``batch_drains``), and the
     #: dynamic instructions those drained lanes executed scalar
     #: (``drain_instructions`` ⊆ ``dynamic_instructions``).
-    batch_reconverged: int = 0
-    batch_drains: int = 0
-    drain_instructions: int = 0
+    batch_reconverged: int = _stat(SUM)
+    batch_drains: int = _stat(SUM)
+    drain_instructions: int = _stat(SUM)
     #: Seed ranges (start, count) whose counts this result includes —
     #: set by the shard scheduler, so an interrupted campaign can report
     #: exactly which runs completed (see ``repro.sched.executor``).
-    completed_ranges: list = field(default_factory=list)
+    completed_ranges: list = _stat(DRIVER, factory=list)
     #: True when the campaign was cut short (KeyboardInterrupt) and the
     #: counts cover only ``completed_ranges``; never cached.
-    interrupted: bool = False
+    interrupted: bool = _stat(DRIVER, False, persist=False)
     #: Shards replayed from partial-campaign checkpoints in the shared
     #: result store instead of being re-executed.
-    shards_resumed: int = 0
+    shards_resumed: int = _stat(DRIVER, persist=False)
 
     @property
     def total(self) -> int:
@@ -158,111 +179,90 @@ class CampaignResult:
         p = self.probability(outcome)
         return confidence_z * math.sqrt(p * (1.0 - p) / n)
 
+    def absorb(self, other: "CampaignResult") -> None:
+        """Fold ``other``'s statistics into this result, field by field,
+        by each field's declared rule (``DRIVER`` fields are left)."""
+        for name, fold in _FOLDS:
+            setattr(self, name, fold(getattr(self, name),
+                                     getattr(other, name)))
+
     def merge(self, other: "CampaignResult") -> "CampaignResult":
         merged = CampaignResult()
-        for outcome in OUTCOMES:
-            merged.counts[outcome] = self.counts[outcome] + other.counts[outcome]
-        merged.wall_seconds = self.wall_seconds + other.wall_seconds
-        merged.cpu_seconds = self.cpu_seconds + other.cpu_seconds
-        merged.dynamic_instructions = (
-            self.dynamic_instructions + other.dynamic_instructions
-        )
-        merged.skipped_instructions = (
-            self.skipped_instructions + other.skipped_instructions
-        )
-        merged.snapshot_bytes = self.snapshot_bytes + other.snapshot_bytes
-        merged.checkpointed = self.checkpointed or other.checkpointed
-        merged.checkpoint_degraded = (
-            self.checkpoint_degraded or other.checkpoint_degraded
-        )
-        merged.interp_tier = self.interp_tier or other.interp_tier
-        merged.codegen_functions = max(
-            self.codegen_functions, other.codegen_functions
-        )
-        merged.codegen_fallbacks = max(
-            self.codegen_fallbacks, other.codegen_fallbacks
-        )
-        merged.batch_lanes = max(self.batch_lanes, other.batch_lanes)
-        merged.batch_divergences = (
-            self.batch_divergences + other.batch_divergences
-        )
-        merged.batch_fallbacks = self.batch_fallbacks + other.batch_fallbacks
-        merged.batch_reconverged = (
-            self.batch_reconverged + other.batch_reconverged
-        )
-        merged.batch_drains = self.batch_drains + other.batch_drains
-        merged.drain_instructions = (
-            self.drain_instructions + other.drain_instructions
-        )
+        merged.absorb(self)
+        merged.absorb(other)
         return merged
 
     # -- artifact-cache serialization ----------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-safe form for the artifact cache (see repro.cache)."""
-        return {
-            "counts": dict(self.counts),
-            "cpu_seconds": self.cpu_seconds,
-            "runs_requested": self.runs_requested,
-            "stopped_early": self.stopped_early,
-            "rounds": self.rounds,
-            "dynamic_instructions": self.dynamic_instructions,
-            "skipped_instructions": self.skipped_instructions,
-            "snapshot_bytes": self.snapshot_bytes,
-            "checkpointed": self.checkpointed,
-            "interp_tier": self.interp_tier,
-            "codegen_functions": self.codegen_functions,
-            "codegen_fallbacks": self.codegen_fallbacks,
-            "batch_lanes": self.batch_lanes,
-            "batch_divergences": self.batch_divergences,
-            "batch_fallbacks": self.batch_fallbacks,
-            "batch_reconverged": self.batch_reconverged,
-            "batch_drains": self.batch_drains,
-            "drain_instructions": self.drain_instructions,
-            "completed_ranges": [list(r) for r in self.completed_ranges],
-        }
+        """JSON-safe form of the persisted fields (see repro.cache)."""
+        return {f.name: _encode(getattr(self, f.name)) for f in _PERSISTED}
+
+    def statistics(self) -> dict:
+        """JSON-safe form of the statistics a trial span produces: the
+        merged, persisted fields (a shard envelope carries these)."""
+        return {f.name: _encode(getattr(self, f.name)) for f in _STATISTICS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignResult":
         """Rebuild a cached campaign; marks the result ``from_cache``.
 
-        Wall-clock and worker metadata describe the run that *produced*
-        the counts, not the cache read, so they reset to the trivial
-        values of a zero-cost replay.
+        ``counts`` is required; a persisted field the entry lacks (it
+        was written before the field existed) replays as its default.
+        Unpersisted fields describe the run that *produced* the counts,
+        not the cache read, so they keep the trivial values of a
+        zero-cost replay.
         """
+        if "counts" not in data:
+            raise KeyError("campaign entry without counts")
+        result = cls()
+        for f in _PERSISTED:
+            if f.name in data:
+                setattr(result, f.name, _decode(f, data[f.name]))
+        result.from_cache = True
+        return result
+
+
+def _sum(a, b):
+    if isinstance(a, dict):
+        total = dict(a)
+        for key, n in b.items():
+            total[key] = total.get(key, 0) + n
+        return total
+    return a + b
+
+
+_RULES = {SUM: _sum, MAX: max, OR: lambda a, b: a or b}
+#: (name, fold) of every merged field, in declaration order.
+_FOLDS = tuple(
+    (f.name, _RULES[f.metadata["rule"]]) for f in fields(CampaignResult)
+    if f.metadata["rule"] != DRIVER
+)
+_PERSISTED = tuple(f for f in fields(CampaignResult) if f.metadata["persist"])
+_STATISTICS = tuple(f for f in _PERSISTED if f.metadata["rule"] != DRIVER)
+
+
+def _encode(value):
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, list):
+        return [list(item) for item in value]
+    return value
+
+
+def _decode(f, value):
+    """Coerce a stored value to the type of the field's default."""
+    kind = type(f.default_factory() if f.default is MISSING else f.default)
+    if kind is dict:
         counts = {outcome: 0 for outcome in OUTCOMES}
-        for outcome, n in data["counts"].items():
+        for outcome, n in value.items():
             if outcome not in counts:
                 raise ValueError(f"unknown campaign outcome {outcome!r}")
             counts[outcome] = int(n)
-        result = cls(
-            counts=counts,
-            cpu_seconds=float(data["cpu_seconds"]),
-            runs_requested=int(data["runs_requested"]),
-            stopped_early=bool(data["stopped_early"]),
-            rounds=int(data["rounds"]),
-            # Throughput fields describe the producing run; entries
-            # written before they existed replay as zeros.
-            dynamic_instructions=int(data.get("dynamic_instructions", 0)),
-            skipped_instructions=int(data.get("skipped_instructions", 0)),
-            snapshot_bytes=int(data.get("snapshot_bytes", 0)),
-            checkpointed=bool(data.get("checkpointed", False)),
-            interp_tier=str(data.get("interp_tier", "")),
-            codegen_functions=int(data.get("codegen_functions", 0)),
-            codegen_fallbacks=int(data.get("codegen_fallbacks", 0)),
-            batch_lanes=int(data.get("batch_lanes", 0)),
-            batch_divergences=int(data.get("batch_divergences", 0)),
-            batch_fallbacks=int(data.get("batch_fallbacks", 0)),
-            batch_reconverged=int(data.get("batch_reconverged", 0)),
-            batch_drains=int(data.get("batch_drains", 0)),
-            drain_instructions=int(data.get("drain_instructions", 0)),
-            completed_ranges=[
-                (int(s), int(c))
-                for s, c in data.get("completed_ranges", [])
-            ],
-        )
-        result.from_cache = True
-        return result
+        return counts
+    if kind is list:
+        return [tuple(map(int, item)) for item in value]
+    return kind(value)
 
 
 class FaultInjector:
@@ -276,7 +276,7 @@ class FaultInjector:
     only wall-clock changes.  Any unexpected failure in the checkpoint
     path permanently falls back to cold runs for this injector
     (``checkpoint_degraded``), mirroring the worker-pool degradation
-    policy in :mod:`repro.fi.parallel`: correctness never depends on
+    policy in :mod:`repro.sched.executor`: correctness never depends on
     the optimization.
     """
 
@@ -294,10 +294,6 @@ class FaultInjector:
         #: Lanes per lockstep group on the batch tier; <= 0 picks the
         #: tier's default.  Irrelevant (and harmless) on scalar tiers.
         self.batch_lanes = batch_lanes
-        self.batch_divergences = 0
-        self.batch_fallbacks = 0
-        self.batch_reconverged = 0
-        self.batch_drains = 0
         self._capture = None
         # ``golden`` may be a cached GoldenSummary (see repro.cache),
         # skipping the fault-free reference execution entirely — the
@@ -565,7 +561,6 @@ class FaultInjector:
                         trials, budget=self.hang_budget
                     )
             except Exception:
-                self.batch_fallbacks += 1
                 result.batch_fallbacks += 1
                 for snap, injection in chunk:
                     outcome, executed, skipped = self._execute_trial(
@@ -579,11 +574,8 @@ class FaultInjector:
                 result.counts[self._classify(trial_result)] += 1
             result.dynamic_instructions += group.executed
             result.skipped_instructions += group.skipped
-            self.batch_divergences += group.divergences
             result.batch_divergences += group.divergences
-            self.batch_reconverged += group.reconverged
             result.batch_reconverged += group.reconverged
-            self.batch_drains += group.drains
             result.batch_drains += group.drains
             result.drain_instructions += group.drain_executed
 

@@ -40,8 +40,11 @@ from ..cache import (
     store_golden_summary,
 )
 from ..cache.artifacts import CAMPAIGN_KIND, SHARD_KIND
+from ..fi.campaign import CampaignResult, FaultInjector
+from ..ir.module import Module
 from ..stats.confidence import wilson_confidence
 from .plan import ShardPlan, ShardRange, coalesce_ranges
+from .shard import materialize_injector, run_shard
 from .spec import CampaignSettings, ModuleSpec, ShardResult, ShardSpec
 
 
@@ -63,13 +66,17 @@ class CampaignExecutor:
     store-backed partial checkpoints, and teardown that never hangs."""
 
     def __init__(self, spec: ModuleSpec | None = None, *,
-                 injector=None,
+                 injector: FaultInjector | None = None,
+                 module: Module | None = None,
                  settings: CampaignSettings | None = None,
                  store=None, store_key: str | None = None):
         if spec is None and injector is None:
             raise ValueError("need a ModuleSpec or a FaultInjector")
         self._spec = spec
         self._injector = injector
+        #: The spec's module when the caller already built it, so the
+        #: in-process injector does not build it a second time.
+        self._module = module
         self.settings = settings or CampaignSettings()
         #: Shared result store for partial-shard checkpoints; shard
         #: persistence is enabled only when a campaign-level key exists
@@ -85,9 +92,9 @@ class CampaignExecutor:
     def injector(self):
         """The in-process injector (serial path and fallback)."""
         if self._injector is None:
-            from .shard import materialize_injector
             self._injector = materialize_injector(
-                self._spec, interp_tier=self.settings.interp_tier
+                self._spec, interp_tier=self.settings.interp_tier,
+                module=self._module,
             )
         return self._injector
 
@@ -173,41 +180,15 @@ class CampaignExecutor:
     @staticmethod
     def _merge_shard(result, shard: ShardResult, *,
                      resumed: bool = False) -> None:
-        for outcome, n in shard.counts.items():
-            result.counts[outcome] = result.counts.get(outcome, 0) + n
-        result.cpu_seconds += shard.cpu_seconds
-        perf = shard.perf
-        result.dynamic_instructions += perf.get("dynamic_instructions", 0)
-        result.skipped_instructions += perf.get("skipped_instructions", 0)
-        result.snapshot_bytes += perf.get("snapshot_bytes", 0)
-        result.checkpointed |= bool(perf.get("checkpointed", False))
-        result.checkpoint_degraded |= bool(
-            perf.get("checkpoint_degraded", False)
-        )
-        result.interp_tier = result.interp_tier or perf.get("interp_tier", "")
-        result.codegen_functions = max(
-            result.codegen_functions, perf.get("codegen_functions", 0)
-        )
-        result.codegen_fallbacks = max(
-            result.codegen_fallbacks, perf.get("codegen_fallbacks", 0)
-        )
-        result.batch_lanes = max(
-            result.batch_lanes, perf.get("batch_lanes", 0)
-        )
-        result.batch_divergences += perf.get("batch_divergences", 0)
-        result.batch_fallbacks += perf.get("batch_fallbacks", 0)
-        result.batch_reconverged += perf.get("batch_reconverged", 0)
-        result.batch_drains += perf.get("batch_drains", 0)
-        result.drain_instructions += perf.get("drain_instructions", 0)
+        result.absorb(shard.stats)
         result.completed_ranges.append((shard.start, shard.count))
         if resumed:
             result.shards_resumed += 1
 
     # -- execution -----------------------------------------------------
 
-    def run(self, max_runs: int, seed: int = 0):
+    def run(self, max_runs: int, seed: int = 0) -> CampaignResult:
         """Execute up to ``max_runs`` injections of campaign ``seed``."""
-        from ..fi.campaign import CampaignResult
         settings = self.settings
         workers = max(1, settings.workers)
         started = time.perf_counter()
@@ -292,7 +273,6 @@ class CampaignExecutor:
         shard spec is never materialized — an empty placeholder avoids
         re-printing the module's IR per shard when no spec was given.
         """
-        from .shard import run_shard
         shard_spec = self._shard_spec(self._spec or ModuleSpec(), rng, seed)
         shard = run_shard(shard_spec, injector=self.injector)
         self._store_shard(rng, shard)
@@ -313,7 +293,6 @@ class CampaignExecutor:
         merged before the interrupt propagates — their counts and store
         checkpoints are never lost.
         """
-        from .shard import run_shard
         module_spec = self.spec()
         pending = [
             (rng, pool.apply_async(
@@ -370,9 +349,9 @@ def run_store_campaign(
     runs: int, seed: int = 0, *,
     spec: ModuleSpec | None = None,
     injector=None,
-    module=None,
+    module: Module | None = None,
     settings: CampaignSettings | None = None,
-):
+) -> CampaignResult:
     """A campaign through the shared result store.
 
     The merged counts of a campaign are a pure function of the module
@@ -382,10 +361,11 @@ def run_store_campaign(
     building an engine (``injector`` may be a zero-arg factory, only
     invoked on a miss).  A miss runs the campaign with per-shard
     checkpointing enabled, persists the merged result, and compacts the
-    now-redundant shard entries.  This is the single execution path
-    behind ``repro inject``, the harness, and the service daemon.
+    now-redundant shard entries.  The module is built at most once: the
+    one that computed the key also backs the in-process injector.  This
+    is the single execution path behind ``repro inject``, the harness,
+    and the service daemon.
     """
-    from ..fi.campaign import CampaignResult, FaultInjector
     settings = settings or CampaignSettings()
     if module is None:
         if isinstance(injector, FaultInjector):
@@ -395,13 +375,7 @@ def run_store_campaign(
         else:
             raise ValueError("need a module, a ModuleSpec or an injector")
     cache = get_cache()
-    key = campaign_key(
-        module_fingerprint(module), runs, seed,
-        ci_halfwidth=settings.ci_halfwidth,
-        ci_outcome=settings.ci_outcome,
-        min_runs=settings.min_runs,
-        round_size=settings.effective_round_size(),
-    )
+    key = campaign_request_key(module, runs, seed, settings)
     payload = cache.load(CAMPAIGN_KIND, key)
     if payload is not None:
         try:
@@ -411,7 +385,7 @@ def run_store_campaign(
     if injector is not None and not isinstance(injector, FaultInjector):
         injector = injector()  # lazy factory, paid only on a miss
     executor = CampaignExecutor(
-        spec, injector=injector, settings=settings,
+        spec, injector=injector, module=module, settings=settings,
         store=cache if cache.enabled else None, store_key=key,
     )
     result = executor.run(runs, seed=seed)
@@ -420,9 +394,9 @@ def run_store_campaign(
     return result
 
 
-def campaign_request_key(module, runs: int, seed: int,
+def campaign_request_key(module: Module, runs: int, seed: int,
                          settings: CampaignSettings) -> str:
-    """The store key a request resolves to (used for coalescing)."""
+    """The store key a campaign request resolves to."""
     return campaign_key(
         module_fingerprint(module), runs, seed,
         ci_halfwidth=settings.ci_halfwidth,

@@ -25,8 +25,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..cache import get_cache
+from ..cache import get_cache, module_fingerprint
 from ..cache.artifacts import CAMPAIGN_KIND
+from ..fi.campaign import CampaignResult
 from .executor import campaign_request_key, run_store_campaign
 from .queue import INTERACTIVE, JobQueue, QueueFull, resolve_priority
 from .spec import CampaignSettings, ModuleSpec
@@ -132,7 +133,6 @@ class Job:
             body = self.result.to_dict()
             body["total"] = self.result.total
             body["from_cache"] = self.result.from_cache
-            body["stopped_early"] = self.result.stopped_early
             body["shards_resumed"] = self.result.shards_resumed
             payload["result"] = body
         return payload
@@ -154,10 +154,10 @@ class Scheduler:
         self.counters = {
             "submitted": 0, "cache_hits": 0, "coalesced": 0,
             "rejected": 0, "completed": 0, "failed": 0,
-            # Aggregated batch-tier reconvergence telemetry from every
-            # completed job (surfaced over /v1/stats).
-            "batch_reconverged": 0, "batch_drains": 0,
         }
+        #: Every completed job's result folded into one record by the
+        #: declared merge rules (surfaced over /v1/stats).
+        self.totals = CampaignResult()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -190,7 +190,6 @@ class Scheduler:
     def submit(self, request: CampaignRequest) -> Job:
         """Admit one request: store hit, coalesce, or enqueue (429)."""
         module = request.spec.materialize()
-        from ..cache import module_fingerprint
         fingerprint = module_fingerprint(module)
         key = campaign_request_key(
             module, request.runs, request.seed, request.settings
@@ -208,7 +207,6 @@ class Scheduler:
             payload = cache.load(CAMPAIGN_KIND, key)
             if payload is not None:
                 try:
-                    from ..fi.campaign import CampaignResult
                     result = CampaignResult.from_dict(payload)
                 except (KeyError, TypeError, ValueError):
                     result = None
@@ -257,12 +255,8 @@ class Scheduler:
         else:
             job.resolve(JOB_DONE, result=result)
             self.counters["completed"] += 1
-            self.counters["batch_reconverged"] += getattr(
-                result, "batch_reconverged", 0
-            )
-            self.counters["batch_drains"] += getattr(
-                result, "batch_drains", 0
-            )
+            with self._lock:
+                self.totals.absorb(result)
         finally:
             with self._lock:
                 if self._active.get(job.key) is job:
@@ -294,6 +288,7 @@ class Scheduler:
                 by_status[job.status] = by_status.get(job.status, 0) + 1
             return {
                 "counters": dict(self.counters),
+                "campaigns": self.totals.statistics(),
                 "jobs": by_status,
                 "pending": len(self._queue),
             }

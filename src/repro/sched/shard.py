@@ -25,6 +25,8 @@ from ..cache import (
     module_fingerprint,
     store_golden_summary,
 )
+from ..fi.campaign import FaultInjector
+from ..ir.module import Module
 from .spec import ModuleSpec, ShardResult, ShardSpec
 
 #: Per-process injector cache: one compiled engine per module spec.
@@ -32,19 +34,20 @@ _WORKER_SPEC: ModuleSpec | None = None
 _WORKER_INJECTOR = None
 
 
-def materialize_injector(spec: ModuleSpec, interp_tier: str | None = None):
+def materialize_injector(spec: ModuleSpec, interp_tier: str | None = None,
+                         module: Module | None = None) -> FaultInjector:
     """Build a FaultInjector for a spec, warm-starting the golden run.
 
-    The golden-run summary (outputs, per-instruction counts, dynamic
-    count) is content-addressed by the re-materialized module's
-    fingerprint, so a worker — or a later campaign over the same module
-    — skips the fault-free reference execution; a cache miss computes
-    and publishes it for every subsequent process.
+    ``module`` is the spec's module when the caller already built it;
+    otherwise the spec is materialized here.  The golden-run summary
+    (outputs, per-instruction counts, dynamic count) is
+    content-addressed by the module's fingerprint, so a worker — or a
+    later campaign over the same module — skips the fault-free
+    reference execution; a cache miss computes and publishes it for
+    every subsequent process.
     """
-    # Imported lazily: repro.fi.parallel is sched's thin client, so a
-    # top-level import here would be circular through fi.__init__.
-    from ..fi.campaign import FaultInjector
-    module = spec.materialize()
+    if module is None:
+        module = spec.materialize()
     cache = get_cache()
     key = golden_key(module_fingerprint(module))
     golden = load_golden_summary(cache, key)
@@ -56,28 +59,8 @@ def materialize_injector(spec: ModuleSpec, interp_tier: str | None = None):
     return injector
 
 
-def span_perf(result) -> dict:
-    """Throughput facts a shard ships back alongside its counts."""
-    return {
-        "dynamic_instructions": result.dynamic_instructions,
-        "skipped_instructions": result.skipped_instructions,
-        "snapshot_bytes": result.snapshot_bytes,
-        "checkpointed": result.checkpointed,
-        "checkpoint_degraded": result.checkpoint_degraded,
-        "interp_tier": result.interp_tier,
-        "codegen_functions": result.codegen_functions,
-        "codegen_fallbacks": result.codegen_fallbacks,
-        "batch_lanes": result.batch_lanes,
-        "batch_divergences": result.batch_divergences,
-        "batch_fallbacks": result.batch_fallbacks,
-        "batch_reconverged": result.batch_reconverged,
-        "batch_drains": result.batch_drains,
-        "drain_instructions": result.drain_instructions,
-    }
-
-
 def run_shard(spec: ShardSpec, injector=None) -> ShardResult:
-    """Execute one shard and return its counts + throughput facts.
+    """Execute one shard and return its counts and statistics.
 
     With no ``injector`` the per-process cache supplies one (building
     it on first use); passing an injector runs the shard on it directly
@@ -95,11 +78,7 @@ def run_shard(spec: ShardSpec, injector=None) -> ShardResult:
     injector.configure_checkpoints(spec.checkpoint, spec.checkpoint_stride)
     injector.configure_tier(spec.interp_tier)
     injector.configure_batch(spec.batch_lanes)
-    span = injector.run_span(spec.start, spec.count, spec.seed)
     return ShardResult(
-        start=spec.start,
-        count=spec.count,
-        counts=dict(span.counts),
-        cpu_seconds=span.cpu_seconds,
-        perf=span_perf(span),
+        spec.start, spec.count,
+        injector.run_span(spec.start, spec.count, spec.seed),
     )

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..fi.campaign import SDC, CampaignResult
 from ..ir.module import Module
 from ..stats.confidence import Z_95
-
-#: Outcome the stopping rule watches by default (mirrors fi.campaign.SDC
-#: without importing it — sched must stay importable from fi).
-DEFAULT_CI_OUTCOME = "sdc"
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ class CampaignSettings:
     #: Stop once the Wilson CI half-width on ``ci_outcome`` drops below
     #: this; None disables early stopping (all runs execute).
     ci_halfwidth: float | None = None
-    ci_outcome: str = DEFAULT_CI_OUTCOME
+    ci_outcome: str = SDC
     ci_z: float = Z_95
     #: Runs per early-stopping round; 0 = auto.
     round_size: int = 0
@@ -188,38 +185,40 @@ class ShardSpec:
 
 @dataclass
 class ShardResult:
-    """Counts and throughput facts one executed shard ships back.
+    """One executed shard: its run range and the span's statistics.
 
     JSON-safe via :meth:`to_dict`, so a completed shard doubles as a
     partial-campaign checkpoint in the shared result store: a killed
     worker's finished shards replay from disk instead of re-executing.
+    The envelope keeps ``counts`` and ``cpu_seconds`` at top level and
+    the other span statistics under ``perf``.
     """
 
     start: int
     count: int
-    counts: dict[str, int] = field(default_factory=dict)
-    cpu_seconds: float = 0.0
-    perf: dict = field(default_factory=dict)
+    stats: CampaignResult = field(default_factory=CampaignResult)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return self.stats.counts
 
     def to_dict(self) -> dict:
+        perf = self.stats.statistics()
         return {
             "start": self.start,
             "count": self.count,
-            "counts": dict(self.counts),
-            "cpu_seconds": self.cpu_seconds,
-            "perf": dict(self.perf),
+            "counts": perf.pop("counts"),
+            "cpu_seconds": perf.pop("cpu_seconds"),
+            "perf": perf,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardResult":
-        counts = {str(k): int(v) for k, v in data["counts"].items()}
         perf = data.get("perf", {})
         if not isinstance(perf, dict):
             raise ValueError("malformed shard perf block")
-        return cls(
-            start=int(data["start"]),
-            count=int(data["count"]),
-            counts=counts,
-            cpu_seconds=float(data["cpu_seconds"]),
-            perf=perf,
+        stats = CampaignResult.from_dict(
+            dict(perf, counts=data["counts"], cpu_seconds=data["cpu_seconds"])
         )
+        return cls(start=int(data["start"]), count=int(data["count"]),
+                   stats=stats)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fi import FaultInjector, ModuleSpec
-from repro.sched import ShardSpec, run_shard
-from repro.sched import shard as sched_shard
+from repro.fi import FaultInjector
 from repro.interp import engine_build_count
+from repro.sched import ModuleSpec, ShardSpec, run_shard
+from repro.sched import shard as sched_shard
 from tests.conftest import cached_module
 
 
@@ -80,3 +80,31 @@ class TestWorkerReuse:
         assert engine_build_count() == before  # no materialization
         assert sched_shard._WORKER_INJECTOR is None  # cache untouched
         assert sum(result.counts.values()) == 20
+
+
+class TestModuleBuilds:
+    def test_cold_store_campaign_builds_the_module_once(
+            self, monkeypatch, tmp_path):
+        """The module that computes the store key also backs the
+        in-process injector: one build per cold serial campaign."""
+        from repro.bench import registry
+        from repro.cache import configure_cache
+        from repro.sched import run_store_campaign
+
+        builds = []
+        build_module = registry.build_module
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build_module(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "build_module", counting_build)
+        configure_cache(tmp_path / "store")
+        try:
+            result = run_store_campaign(
+                40, seed=3, spec=ModuleSpec.from_benchmark("pathfinder", "test"),
+            )
+        finally:
+            configure_cache(None)
+        assert not result.from_cache
+        assert len(builds) == 1

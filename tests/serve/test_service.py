@@ -18,8 +18,8 @@ import threading
 import pytest
 
 from repro.fi import FaultInjector
-from repro.fi.parallel import run_cached_campaign
 from repro.ir.printer import print_module
+from repro.sched import run_store_campaign
 from repro.serve import ServiceClient, ServiceDaemon, ServiceError
 from tests.conftest import build_straightline_module, cached_module
 
@@ -132,7 +132,7 @@ class TestCampaigns:
         # the daemon replays it.
         spec_runs, spec_seed = 44, 94
         from repro.sched import ModuleSpec
-        computed = run_cached_campaign(
+        computed = run_store_campaign(
             spec_runs, seed=spec_seed,
             spec=ModuleSpec.from_benchmark(BENCH, "test"),
         )
