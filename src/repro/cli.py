@@ -275,16 +275,19 @@ def main(argv=None, out=sys.stdout) -> int:
     return handler(args, out)
 
 
-def _profile_for(module: Module) -> ProgramProfile:
-    """Profile a module through the artifact cache (hit = no re-run)."""
+def _profile_for(module: Module) -> tuple[ProgramProfile, bool]:
+    """Profile a module through the artifact cache (hit = no re-run).
+
+    Also returns whether the profile was replayed from the store.
+    """
     cache = get_cache()
     key = profile_key(module_fingerprint(module))
     cached = load_cached_profile(cache, key)
     if cached is not None:
-        return cached
+        return cached, True
     profile, outputs = ProfilingInterpreter(module).run()
     store_cached_profile(cache, key, profile, outputs)
-    return profile
+    return profile, False
 
 
 def _print_cache_summary(out) -> None:
@@ -345,7 +348,7 @@ def _cmd_analyze(args, out) -> int:
               f"{opt_report.before_instructions} -> "
               f"{opt_report.after_instructions} static instructions "
               f"({opt_report.slots_promoted} slots promoted)", file=out)
-    profile = _profile_for(module)
+    profile, replayed = _profile_for(module)
     model = create_model(args.model, module, profile)
     overall = model.overall_sdc(samples=args.samples)
     print(f"program: {module.name} ({module.num_instructions} static, "
@@ -363,6 +366,14 @@ def _cmd_analyze(args, out) -> int:
               file=out)
     if args.explain:
         print(file=out)
+        if replayed:
+            print("profiling: profile replayed from the artifact store",
+                  file=out)
+        else:
+            print(f"profiling: {profile.profiling_seconds:.3f} s", file=out)
+        inference = getattr(model, "inference_seconds", None)
+        if inference is not None:
+            print(f"inference: {inference:.3f} s", file=out)
         for line in model.queries.explain():
             print(line, file=out)
     _print_cache_summary(out)
@@ -501,7 +512,7 @@ def _print_interrupted(partial, benchmark: str, out) -> int:
 
 def _cmd_protect(args, out) -> int:
     module = build_module(args.benchmark, args.scale, args.input_seed)
-    profile = _profile_for(module)
+    profile, _replayed = _profile_for(module)
     outcome = evaluate_protection(
         module, profile, args.model, args.budget, fi_samples=args.runs
     )
@@ -521,7 +532,7 @@ def _cmd_protect(args, out) -> int:
 
 def _cmd_report(args, out) -> int:
     module = build_module(args.benchmark, args.scale, args.input_seed)
-    profile = _profile_for(module)
+    profile, _replayed = _profile_for(module)
     fi = _run_campaign(args, args.fi_runs) if args.fi_runs > 0 else None
     report = generate_report(
         module, profile, target_sdc=args.target,

@@ -75,12 +75,14 @@ class Trident:
             self.weigher, engine=self.queries,
         )
         self._sdc_cache: dict[int, float] = {}
+        self._crash_cache: dict[int, float] = {}
         #: Optional persistence hook (see repro.cache.bind_model_results):
         #: called with the full per-instruction result map when a bulk
         #: prediction finishes and new results were computed.
         self.result_sink = None
         self._flushed_results = 0
-        #: Cumulative wall-clock seconds spent in inference.
+        #: Cumulative wall-clock seconds spent in inference (SDC and
+        #: crash predictions).
         self.inference_seconds = 0.0
         # Injection-eligible instructions (same definition as the fault
         # injector: executed, produces a result, result is used).
@@ -280,10 +282,18 @@ class Trident:
         memory-carried corruption are not chased through fm — so it is a
         lower bound; FI validation shows it ranks instructions well.
         """
+        cached = self._crash_cache.get(iid)
+        if cached is not None:
+            return cached
+        started = time.perf_counter()
         inst = self.module.instruction(iid)
-        if not inst.has_result:
-            return 0.0
-        return self.propagator.propagate(inst).crash_probability
+        probability = (
+            self.propagator.propagate(inst).crash_probability
+            if inst.has_result else 0.0
+        )
+        self.inference_seconds += time.perf_counter() - started
+        self._crash_cache[iid] = probability
+        return probability
 
     def overall_crash(self, samples: int = 3000, seed: int = 0) -> float:
         """Overall crash probability via sampled dynamic instances."""

@@ -32,6 +32,7 @@ from ..ir.module import Module
 from .profile import ProgramProfile
 
 _ADDRESS_BITS = 64
+_FLIP_MASKS = tuple(1 << bit for bit in range(_ADDRESS_BITS))
 
 #: Domain separation for per-site sampling substreams (<=16 bytes).
 _SITE_PERSON = b"repro-prof-site"
@@ -55,6 +56,17 @@ def _site_seed(seed: int, function_name: str, local_index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def address_crash_probability(address: int, valid) -> float:
+    """P(crash) over the single-bit flips of an access address: the
+    share of the 64 flipped addresses outside the validity set ``valid``.
+
+    The flips are distinct, so counting the valid ones by one set
+    intersection gives the same count, and float, as testing each.
+    """
+    hits = len(valid.intersection([address ^ mask for mask in _FLIP_MASKS]))
+    return (_ADDRESS_BITS - hits) / _ADDRESS_BITS
+
+
 class ProfilingInterpreter:
     """Runs a module once and produces a :class:`ProgramProfile`."""
 
@@ -62,6 +74,8 @@ class ProfilingInterpreter:
                  max_dynamic: int = 50_000_000, seed: int = 2018):
         if not module.is_finalized:
             raise ValueError("finalize the module before profiling")
+        if sample_cap < 1:
+            raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
         self.module = module
         self.sample_cap = sample_cap
         self.max_dynamic = max_dynamic
@@ -100,9 +114,10 @@ class ProfilingInterpreter:
 class _ProfilingEngine(ExecutionEngine):
     """The closure tier with observer hooks around the sampled steps.
 
-    Each wrapper counts its site's dynamic instances (the reservoirs'
-    ``seen``), calls the :class:`_ProfState` hooks that precede the
-    instruction, runs the engine's own step, then the hooks that follow.
+    Each sampled site's step is wrapped by :meth:`_ProfState.sampled`,
+    which keeps that site's reservoir; the per-instance hooks that must
+    see every dynamic instance (select directions, memory dependencies,
+    silent stores) run inside the wrapped step.
     """
 
     def __init__(self, module: Module, prof: "_ProfState",
@@ -113,72 +128,65 @@ class _ProfilingEngine(ExecutionEngine):
     def _compile_step(self, compiled, inst, step_index: int):
         step = super()._compile_step(compiled, inst, step_index)
         prof = self.prof
+        profile = prof.profile
         iid = inst.iid
-        seen = 0
 
         if isinstance(inst, (BinOp, ICmp, FCmp)):
             fetch_lhs = self._fetch(compiled, inst.lhs)
             fetch_rhs = self._fetch(compiled, inst.rhs)
-
-            def profiled(state, frame):
-                nonlocal seen
-                seen += 1
-                prof.sample_operands(
-                    iid, (fetch_lhs(frame), fetch_rhs(frame)), seen
-                )
-                step(state, frame)
-        elif isinstance(inst, Cast):
+            return prof.sampled(
+                iid, profile.operand_samples, step,
+                lambda state, frame: (fetch_lhs(frame), fetch_rhs(frame)),
+            )
+        if isinstance(inst, Cast):
             fetch = self._fetch(compiled, inst.value)
-
-            def profiled(state, frame):
-                nonlocal seen
-                seen += 1
-                prof.sample_operands(iid, (fetch(frame),), seen)
-                step(state, frame)
-        elif isinstance(inst, Select):
+            return prof.sampled(
+                iid, profile.operand_samples, step,
+                lambda state, frame: (fetch(frame),),
+            )
+        if isinstance(inst, Select):
             fetch_cond = self._fetch(compiled, inst.cond)
             fetch_true = self._fetch(compiled, inst.true_value)
             fetch_false = self._fetch(compiled, inst.false_value)
-            select_counts = prof.profile.select_counts
+            select_counts = profile.select_counts
 
-            def profiled(state, frame):
-                nonlocal seen
-                seen += 1
+            def counted(state, frame):
                 cond = 1 if fetch_cond(frame) else 0
                 select_counts.setdefault(iid, [0, 0])[cond] += 1
-                prof.sample_operands(
-                    iid, (cond, fetch_true(frame), fetch_false(frame)), seen
-                )
                 step(state, frame)
-        elif isinstance(inst, Load):
-            fetch_pointer = self._fetch(compiled, inst.pointer)
 
-            def profiled(state, frame):
-                nonlocal seen
-                seen += 1
-                address = fetch_pointer(frame)
-                prof.sample_memory_access(
-                    iid, address, seen, state.memory.valid
-                )
-                step(state, frame)
-                prof.record_load(iid, address)
-        elif isinstance(inst, Store):
+            return prof.sampled(
+                iid, profile.operand_samples, counted,
+                lambda state, frame: (1 if fetch_cond(frame) else 0,
+                                      fetch_true(frame), fetch_false(frame)),
+            )
+        if isinstance(inst, (Load, Store)):
             fetch_pointer = self._fetch(compiled, inst.pointer)
-            fetch_value = self._fetch(compiled, inst.value)
+            if isinstance(inst, Load):
+                record_load = prof.record_load
 
-            def profiled(state, frame):
-                nonlocal seen
-                seen += 1
-                address = fetch_pointer(frame)
-                prof.sample_memory_access(
-                    iid, address, seen, state.memory.valid
-                )
-                silent = fetch_value(frame) == state.memory.cells.get(address)
-                step(state, frame)
-                prof.record_store(iid, address, silent)
-        else:
-            return step
-        return profiled
+                def recorded(state, frame):
+                    address = fetch_pointer(frame)
+                    step(state, frame)
+                    record_load(iid, address)
+            else:
+                fetch_value = self._fetch(compiled, inst.value)
+                record_store = prof.record_store
+
+                def recorded(state, frame):
+                    address = fetch_pointer(frame)
+                    silent = (fetch_value(frame)
+                              == state.memory.cells.get(address))
+                    step(state, frame)
+                    record_store(iid, address, silent)
+
+            return prof.sampled(
+                iid, profile.crash_prob_samples, recorded,
+                lambda state, frame: address_crash_probability(
+                    fetch_pointer(frame), state.memory.valid
+                ),
+            )
+        return step
 
     def _compile_terminator(self, compiled, cblock, inst, block_map) -> None:
         super()._compile_terminator(compiled, cblock, inst, block_map)
@@ -201,7 +209,7 @@ class _ProfState:
 
     __slots__ = (
         "profile", "last_writer", "seed", "sites", "sample_cap",
-        "dynamic_deps", "_rngs",
+        "dynamic_deps",
     )
 
     def __init__(self, profile, seed, sites, sample_cap):
@@ -212,50 +220,46 @@ class _ProfState:
         self.sites = sites
         self.sample_cap = sample_cap
         self.dynamic_deps = 0
-        self._rngs: dict[int, random.Random] = {}
 
-    def rng_for(self, iid: int) -> random.Random:
-        """This instruction site's private sampling substream."""
-        rng = self._rngs.get(iid)
-        if rng is None:
-            name, local = self.sites[iid]
-            rng = random.Random(_site_seed(self.seed, name, local))
-            self._rngs[iid] = rng
-        return rng
+    def sampled(self, iid: int, reservoirs: dict, step, capture):
+        """Wrap ``step`` with site ``iid``'s reservoir sampler.
 
-    def sample_operands(self, iid: int, operands: tuple, seen: int) -> None:
-        """Reservoir-sample the operand tuple of one dynamic instance.
-
-        ``seen`` counts this site's dynamic instances, this one included.
+        Every dynamic instance counts toward the site's ``seen``; the
+        sample ``capture(state, frame)`` is taken, before ``step`` runs,
+        only for an instance the reservoir keeps: the first
+        ``sample_cap`` instances, then each instance whose draw from
+        ``randrange(seen)`` on the site's substream lands below the cap.
+        The reservoir list is created on the site's first execution, so
+        ``reservoirs`` keeps first-execution order.
         """
-        reservoir = self.profile.operand_samples.setdefault(iid, [])
-        if len(reservoir) < self.sample_cap:
-            reservoir.append(operands)
-            return
-        slot = self.rng_for(iid).randrange(seen)
-        if slot < self.sample_cap:
-            reservoir[slot] = operands
+        cap = self.sample_cap
+        name, local = self.sites[iid]
+        site_seed = _site_seed(self.seed, name, local)
+        seen = 0
+        reservoir = None
+        getrandbits = None
 
-    def sample_memory_access(self, iid: int, address: int, seen: int,
-                             valid) -> None:
-        """Sample P(crash) over single-bit flips of this access address,
-        against the live memory validity set ``valid``."""
-        reservoir = self.profile.crash_prob_samples.setdefault(iid, [])
-        if len(reservoir) >= self.sample_cap:
-            slot = self.rng_for(iid).randrange(seen)
-            if slot >= self.sample_cap:
-                return
-        else:
-            slot = len(reservoir)
-        invalid = 0
-        for bit in range(_ADDRESS_BITS):
-            if (address ^ (1 << bit)) not in valid:
-                invalid += 1
-        crash_prob = invalid / _ADDRESS_BITS
-        if slot < len(reservoir):
-            reservoir[slot] = crash_prob
-        else:
-            reservoir.append(crash_prob)
+        def profiled(state, frame):
+            nonlocal seen, reservoir, getrandbits
+            seen += 1
+            if seen > cap:
+                # Random.randrange(seen), bit for bit: CPython's
+                # _randbelow_with_getrandbits rejection loop.
+                k = seen.bit_length()
+                slot = getrandbits(k)
+                while slot >= seen:
+                    slot = getrandbits(k)
+                if slot < cap:
+                    reservoir[slot] = capture(state, frame)
+            else:
+                if seen == 1:
+                    reservoir = reservoirs.setdefault(iid, [])
+                reservoir.append(capture(state, frame))
+                if seen == cap:
+                    getrandbits = random.Random(site_seed).getrandbits
+            step(state, frame)
+
+        return profiled
 
     def record_store(self, iid: int, address: int,
                      silent: bool = False) -> None:

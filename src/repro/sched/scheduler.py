@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ..cache import get_cache, module_fingerprint
 from ..cache.artifacts import CAMPAIGN_KIND
 from ..fi.campaign import CampaignResult
+from ..ir.module import Module
 from .executor import campaign_request_key, run_store_campaign
 from .queue import INTERACTIVE, JobQueue, QueueFull, resolve_priority
 from .spec import CampaignSettings, ModuleSpec
@@ -147,6 +148,10 @@ class Scheduler:
         self._jobs: dict[str, Job] = {}
         #: key -> queued/running job, for request coalescing.
         self._active: dict[str, Job] = {}
+        #: key -> the module its active job was submitted with, held
+        #: only while that job is active so execution does not build it
+        #: again (jobs outlive their modules).
+        self._modules: dict[str, Module] = {}
         self._lock = threading.Lock()
         self._counter = 0
         self._thread: threading.Thread | None = None
@@ -224,6 +229,7 @@ class Scheduler:
                 raise
             self._jobs[job.id] = job
             self._active[key] = job
+            self._modules[key] = module
             return job
 
     def _new_job(self, key: str, fingerprint: str,
@@ -244,10 +250,13 @@ class Scheduler:
         """Run one job through the shared store-backed campaign path."""
         job.status = JOB_RUNNING
         job.started = time.time()
+        with self._lock:
+            module = self._modules.get(job.key)
         try:
             result = run_store_campaign(
                 job.request.runs, job.request.seed,
-                spec=job.request.spec, settings=job.request.settings,
+                spec=job.request.spec, module=module,
+                settings=job.request.settings,
             )
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             job.resolve(JOB_FAILED, error=f"{type(exc).__name__}: {exc}")
@@ -261,6 +270,7 @@ class Scheduler:
             with self._lock:
                 if self._active.get(job.key) is job:
                     del self._active[job.key]
+                    self._modules.pop(job.key, None)
 
     # -- inspection ------------------------------------------------------
 

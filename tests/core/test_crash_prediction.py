@@ -1,5 +1,7 @@
 """Crash-probability prediction (extension beyond the paper)."""
 
+import random
+
 import pytest
 
 from repro.core import Trident
@@ -68,3 +70,23 @@ class TestCrashPrediction:
             if inst.opcode == "store"
         )
         assert model.instruction_crash(store_iid) == 0.0
+
+
+@pytest.mark.parametrize("name", ["libquantum", "lulesh", "pathfinder"])
+def test_overall_crash_equals_unmemoized_mean(name):
+    """``instruction_crash`` memoizes per instruction; the sampled mean
+    must equal the same mean with every pick propagated afresh."""
+    module = cached_module(name)
+    profile, _ = cached_profile(name)
+    model = Trident(module, profile, shared_queries=False)
+    picks = random.Random(4).choices(
+        model.eligible, weights=model._weights, k=600
+    )
+    fresh = Trident(module, profile, shared_queries=False)
+    expected = sum(
+        fresh.propagator.propagate(module.instruction(iid)).crash_probability
+        for iid in picks
+    ) / 600
+    assert len(set(picks)) < len(picks)  # repeats exercise the memo
+    assert model.overall_crash(samples=600, seed=4) == expected
+    assert model.overall_crash(samples=600, seed=4) == expected

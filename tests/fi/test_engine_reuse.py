@@ -83,28 +83,46 @@ class TestWorkerReuse:
 
 
 class TestModuleBuilds:
-    def test_cold_store_campaign_builds_the_module_once(
-            self, monkeypatch, tmp_path):
-        """The module that computes the store key also backs the
-        in-process injector: one build per cold serial campaign."""
+    @pytest.fixture
+    def builds(self, monkeypatch, tmp_path):
+        """Every ``registry.build_module`` call, against an empty store."""
         from repro.bench import registry
         from repro.cache import configure_cache
-        from repro.sched import run_store_campaign
 
-        builds = []
+        calls = []
         build_module = registry.build_module
 
         def counting_build(*args, **kwargs):
-            builds.append(args)
+            calls.append(args)
             return build_module(*args, **kwargs)
 
         monkeypatch.setattr(registry, "build_module", counting_build)
         configure_cache(tmp_path / "store")
-        try:
-            result = run_store_campaign(
-                40, seed=3, spec=ModuleSpec.from_benchmark("pathfinder", "test"),
-            )
-        finally:
-            configure_cache(None)
+        yield calls
+        configure_cache(None)
+
+    def test_cold_store_campaign_builds_the_module_once(self, builds):
+        """The module that computes the store key also backs the
+        in-process injector: one build per cold serial campaign."""
+        from repro.sched import run_store_campaign
+
+        result = run_store_campaign(
+            40, seed=3, spec=ModuleSpec.from_benchmark("pathfinder", "test"),
+        )
         assert not result.from_cache
         assert len(builds) == 1
+
+    def test_cold_daemon_job_builds_the_module_once(self, builds):
+        """The module ``Scheduler.submit`` keys the job on is the one
+        ``execute`` runs: one build per cold job, none kept after it."""
+        from repro.sched import CampaignRequest, Scheduler
+
+        scheduler = Scheduler()
+        job = scheduler.submit(CampaignRequest(
+            spec=ModuleSpec.from_benchmark("pathfinder", "test"),
+            runs=40, seed=3,
+        ))
+        scheduler.execute(job)
+        assert job.status == "done" and not job.result.from_cache
+        assert len(builds) == 1
+        assert not scheduler._modules

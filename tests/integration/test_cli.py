@@ -1,6 +1,7 @@
 """The command line interface."""
 
 import io
+import re
 
 import pytest
 
@@ -70,3 +71,14 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("frobnicate")
+
+
+def test_analyze_explain_says_where_the_time_went(tmp_path):
+    argv = ("--cache-dir", str(tmp_path), "analyze", "pathfinder",
+            "--scale", "test", "--samples", "200", "--explain")
+    cold = run_cli(*argv)
+    assert re.search(r"^profiling: \d+\.\d{3} s$", cold, re.M)
+    assert re.search(r"^inference: \d+\.\d{3} s$", cold, re.M)
+    warm = run_cli(*argv)
+    assert "profiling: profile replayed from the artifact store" in warm
+    assert re.search(r"^inference: \d+\.\d{3} s$", warm, re.M)
